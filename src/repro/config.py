@@ -1,11 +1,6 @@
 """The one configuration surface for building and running simulations.
 
-Historically every entry point grew its own keyword surface —
-``Harness.build`` took ``config=``/``policy=``/``obs=``/``profile=``/
-``scheduler=`` loose kwargs, ``run_scenario`` took a different subset,
-and the profiler a third — so adding a knob meant threading it through
-three signatures and the façade drifted. :class:`RunConfig` replaces the
-scattered keywords: one frozen dataclass accepted (as ``config=``) by
+:class:`RunConfig` is one frozen dataclass accepted (as ``config=``) by
 :meth:`repro.harness.Harness.build`,
 :func:`repro.experiments.runner.run_scenario`,
 :func:`repro.experiments.runner.run_scenarios_parallel` and
@@ -15,11 +10,6 @@ What deliberately stays *out* of ``RunConfig``: the ``seed`` and the
 scenario ``variant``. Those identify *which run* is being performed, not
 *how the stack is wired* — sweeping seeds or variants with one shared
 config is the common case.
-
-The legacy loose keywords keep working for one release behind
-``DeprecationWarning`` shims (see the respective call sites); the in-repo
-test suite runs with ``-W error::DeprecationWarning`` so internal callers
-cannot regress onto them.
 """
 
 from __future__ import annotations
@@ -27,22 +17,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 __all__ = [
     "RunConfig",
     "COORDINATOR_MODES",
-    "SCHEDULERS",
     "canonical_data",
     "canonical_json",
 ]
 
-#: engine event-queue implementations (all produce byte-identical runs):
-#: "array" (default; the calendar queue over typed-array storage),
-#: "calendar" (the object-tuple calendar, second reference) and "heap"
-#: (the binary-heap executable spec).
-SCHEDULERS = ("array", "calendar", "heap")
 #: coordinator decision paths: the incremental streaming pipeline
 #: (production default) and the batch snapshot re-fold retained as the
 #: executable spec; both produce identical decisions and goldens.
@@ -157,9 +141,6 @@ class RunConfig:
     ships it to spawned worker processes.
     """
 
-    #: engine event queue: "array" (default, typed-array calendar core),
-    #: "calendar" (object-tuple calendar) or the "heap" reference.
-    scheduler: str = "array"
     #: coordinator decision path: "streaming" (incremental WAE + top-k
     #: badness, O(changed) per period) or "batch" (full snapshot re-fold,
     #: the executable spec). Policies that override ``decide`` (e.g. the
@@ -197,10 +178,6 @@ class RunConfig:
     sinks: tuple = field(default=())
 
     def __post_init__(self) -> None:
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
-            )
         if self.coordinator not in COORDINATOR_MODES:
             raise ValueError(
                 f"coordinator must be one of {COORDINATOR_MODES}, "
@@ -237,9 +214,3 @@ class RunConfig:
             f.name: canonical_data(getattr(self, f.name))
             for f in dataclasses.fields(self)
         }
-
-    def merged(self, **overrides: Any) -> "RunConfig":
-        """A copy with the non-None ``overrides`` applied — how the
-        deprecation shims fold legacy loose kwargs into a config."""
-        updates = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **updates) if updates else self

@@ -32,15 +32,6 @@ interactive suite all measure the identical code paths:
   retained scalar spec: one ``NodeReport`` ingest per node, the
   pure-Python ``fold_scalar``, and the batch policy on ``NodeView``
   tuples — the "before" the SoA path is measured against;
-* ``event_core_drain``          — pure scheduler churn through the
-  typed-array event core (``scheduler="array"``): a standing population
-  of far-future timers (~10% cancelled) under periodic bursts of
-  near-term bare timeouts (coalesced duplicates plus sub-width jitter),
-  each burst drained before the next arrives, then the standing tail
-  drained to empty — no processes, so the queue is the entire cost;
-* ``event_core_drain_calendar`` — the identical timeout stream through
-  the retained object-tuple calendar (``scheduler="calendar"``), the
-  "before" the array core is measured against;
 * ``sweep_warm_pool``   — a 32-job sweep of tiny scenarios through an
   already-warm :class:`~repro.serving.pool.WarmPool` (2 workers): only
   job dispatch, simulation, and result IPC are on the timed path;
@@ -140,7 +131,6 @@ __all__ = [
     "store_pingpong",
     "worksteal_run",
     "octree_inputs",
-    "event_core_inputs",
     "coordinator_stream_inputs",
     "grid_period_inputs",
     "scenario_e2e_spec",
@@ -266,75 +256,6 @@ def octree_inputs():
     rng = np.random.default_rng(0)
     pos, _, mass = plummer_sphere(2048, rng)
     return pos, mass
-
-
-def event_core_inputs():
-    """Seeded timeout streams the event-core drain pair replays.
-
-    The regime mirrors how the adaptive scenarios actually load the
-    engine: a **standing population** of far-future timers (monitoring
-    periods, liveness deadlines — 10% later cancelled, so tombstones
-    surface at pop and slots recycle through the free list) underneath
-    **periodic bursts** of near-term events (one burst per simulated
-    iteration, a mix of exact duplicates that coalesce and sub-width
-    jitter that does not). Every burst lands a dense clump of entries
-    in a handful of buckets of warm geometry, which is the case the two
-    cores resolve most differently: the object calendar dirty-marks the
-    bucket and pays a Python ``list.sort`` plus a degenerate-bucket
-    rebuild per burst, the typed-array core the vectorised equivalents.
-    Returns ``(standing, cancels, waves)`` as plain-float lists — numpy
-    scalar unboxing stays out of the timed region.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(23)
-    n0, n_waves, wave_n = 6_000, 30, 400
-    standing = rng.uniform(100.0, 1000.0, n0).tolist()
-    cancels = (rng.random(n0) < 0.10).tolist()
-    waves = []
-    for _ in range(n_waves):
-        w = rng.uniform(0.0, 2.0, wave_n)
-        w[rng.random(wave_n) < 0.25] = rng.choice([0.25, 0.75, 1.5])
-        waves.append(w.tolist())
-    return standing, cancels, waves
-
-
-def _prepare_event_core(scheduler: str) -> Callable[[], object]:
-    """Shared body of the event-core pair: bare timeouts, no processes.
-
-    Both twins replay the identical pre-generated stream, so the only
-    difference on the timed path is the scheduler implementation —
-    exactly the A/B ``--interleave`` needs.
-    """
-    from ..simgrid import Environment
-
-    standing, cancels, waves = event_core_inputs()
-
-    def run() -> int:
-        env = Environment(scheduler=scheduler)
-        timeout = env.timeout
-        for d, dead in zip(standing, cancels):
-            t = timeout(d)
-            if dead:
-                t.cancel()
-        until = 0.0
-        for wave in waves:
-            for d in wave:
-                timeout(d)  # burst lands in warm, partially drained geometry
-            until += 2.0
-            env.run(until=until)  # drain this burst before the next arrives
-        env.run()  # drain the standing tail: the shrink cascade
-        return env.event_count
-
-    return run
-
-
-def _prepare_event_core_drain() -> Callable[[], object]:
-    return _prepare_event_core("array")
-
-
-def _prepare_event_core_drain_calendar() -> Callable[[], object]:
-    return _prepare_event_core("calendar")
 
 
 def scenario_e2e_spec():
@@ -910,16 +831,6 @@ WORKLOADS: tuple[Workload, ...] = (
         _prepare_grid_monitoring_period_scalar,
     ),
     Workload(
-        "event_core_drain",
-        "bare timeout churn through the typed-array event core",
-        _prepare_event_core_drain,
-    ),
-    Workload(
-        "event_core_drain_calendar",
-        "the identical timeout stream through the object-tuple calendar",
-        _prepare_event_core_drain_calendar,
-    ),
-    Workload(
         "sweep_warm_pool",
         "32-job tiny-scenario sweep through an already-warm 2-worker pool",
         _prepare_sweep_warm_pool,
@@ -950,7 +861,6 @@ _BY_NAME = {w.name: w for w in WORKLOADS}
 
 #: default --interleave pairs: (candidate, baseline) folding one stream.
 INTERLEAVE_PAIRS: tuple[tuple[str, str], ...] = (
-    ("event_core_drain", "event_core_drain_calendar"),
     ("grid_monitoring_period", "grid_monitoring_period_scalar"),
     ("coordinator_decide", "coordinator_decide_batch"),
     ("sweep_warm_pool", "sweep_cold_spawn"),

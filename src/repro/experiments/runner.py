@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import traceback
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence, Union
 
@@ -28,7 +27,6 @@ from ..core.bwestimator import BandwidthEstimator
 from ..core.coordinator import AdaptationCoordinator, CoordinatorConfig
 from ..core.policy import AdaptationPolicy, Decision
 from ..harness import Harness
-from ..obs import Observability
 from ..satin.app import AppDriver
 from ..satin.benchmarking import BenchmarkConfig
 from ..satin.runtime import SatinRuntime
@@ -116,8 +114,6 @@ def run_scenario(
     spec: ScenarioSpec, variant: str, seed: int = 0,
     *,
     config: Optional[RunConfig] = None,
-    obs: Optional[Observability] = None,
-    scheduler: Optional[str] = None,
 ) -> RunResult:
     """Execute one scenario under one variant; returns the measurements.
 
@@ -125,34 +121,13 @@ def run_scenario(
     stack is wired: pass an enabled :class:`~repro.obs.Observability` via
     ``RunConfig(obs=...)`` to capture the run's full event stream and
     metrics (``repro trace`` / ``repro metrics`` do; by default telemetry
-    is disabled and costs nothing), ``RunConfig(scheduler=...)`` to pick
-    the event queue implementation, ``RunConfig(coordinator="batch")``
+    is disabled and costs nothing), ``RunConfig(coordinator="batch")``
     for the batch decision path. Fields the scenario itself determines
     (worker config, crash detection delay) default from ``spec`` and
     ``variant`` unless the config overrides them.
-
-    The loose ``obs=``/``scheduler=`` keywords are deprecated shims for
-    the same fields.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if obs is not None or scheduler is not None:
-        if config is not None:
-            raise TypeError(
-                "pass obs/scheduler inside RunConfig, not as loose keywords"
-            )
-        warnings.warn(
-            "run_scenario(obs=..., scheduler=...) is deprecated; pass "
-            "config=RunConfig(obs=..., scheduler=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        overrides = {}
-        if obs is not None:
-            overrides["obs"] = obs
-        if scheduler is not None:
-            overrides["scheduler"] = scheduler
-        config = RunConfig(**overrides)
     cfg = config if config is not None else RunConfig()
 
     harness = Harness.build(

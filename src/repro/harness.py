@@ -11,16 +11,13 @@ inspection.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .config import RunConfig
 from .obs import Observability
 from .registry.registry import Registry
-from .satin.malleability import HandoffStrategy
 from .satin.runtime import SatinRuntime
-from .satin.stealing import StealPolicy
 from .satin.worker import WorkerConfig
 from .simgrid.engine import Environment
 from .simgrid.network import Network
@@ -86,14 +83,7 @@ class Harness:
         spec: GridSpec,
         seed: int = 0,
         *,
-        config: Optional[Union[RunConfig, WorkerConfig]] = None,
-        policy: Optional[StealPolicy] = None,
-        handoff: Optional[HandoffStrategy] = None,
-        detection_delay: Optional[float] = None,
-        trace: Optional[Trace] = None,
-        obs: Optional[Observability] = None,
-        profile: Optional[bool] = None,
-        scheduler: Optional[str] = None,
+        config: Optional[RunConfig] = None,
     ) -> "Harness":
         """Assemble a fresh, fully wired stack for ``spec``.
 
@@ -105,24 +95,16 @@ class Harness:
 
         ``seed`` stays a direct parameter: it identifies the run, not the
         wiring, so seed sweeps share one config object.
-
-        The remaining keywords are the legacy loose surface, kept working
-        for one release: passing any of them (or a ``WorkerConfig`` as
-        ``config``) emits a :class:`DeprecationWarning` and is folded into
-        an equivalent ``RunConfig``. Mixing a ``RunConfig`` with loose
-        keywords is an error.
         """
-        run = _resolve_run_config(
-            config,
-            policy=policy,
-            handoff=handoff,
-            detection_delay=detection_delay,
-            trace=trace,
-            obs=obs,
-            profile=profile,
-            scheduler=scheduler,
-        )
-        env = Environment(scheduler=run.scheduler)
+        if config is None:
+            run = RunConfig()
+        elif isinstance(config, RunConfig):
+            run = config
+        else:
+            raise TypeError(
+                f"config must be a RunConfig, got {type(config).__name__}"
+            )
+        env = Environment()
         network = Network(env, spec)
         registry = Registry(
             env,
@@ -156,55 +138,3 @@ class Harness:
             obs=obs_stack,
         )
         return cls(env, spec, network, registry, runtime, rng, obs_stack, run)
-
-
-#: legacy ``Harness.build`` keyword → the ``RunConfig`` field it folds into.
-_LEGACY_FIELDS = {
-    "policy": "steal",
-    "handoff": "handoff",
-    "detection_delay": "detection_delay",
-    "trace": "trace",
-    "obs": "obs",
-    "profile": "profile",
-    "scheduler": "scheduler",
-}
-
-
-def _resolve_run_config(
-    config: Optional[Union[RunConfig, WorkerConfig]], **legacy
-) -> RunConfig:
-    """Fold the deprecated loose-keyword surface into one RunConfig."""
-    loose = {k: v for k, v in legacy.items() if v is not None}
-    if isinstance(config, RunConfig):
-        if loose:
-            raise TypeError(
-                "pass these settings inside RunConfig, not as loose "
-                f"keywords: {', '.join(sorted(loose))}"
-            )
-        return config
-    if isinstance(config, WorkerConfig):
-        warnings.warn(
-            "passing a WorkerConfig as Harness.build(config=...) is "
-            "deprecated; use config=RunConfig(worker=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        run = RunConfig(worker=config)
-    elif config is None:
-        run = RunConfig()
-    else:
-        raise TypeError(
-            f"config must be a RunConfig (or a deprecated WorkerConfig), "
-            f"got {type(config).__name__}"
-        )
-    if loose:
-        warnings.warn(
-            "loose Harness.build keywords "
-            f"({', '.join(sorted(loose))}) are deprecated; pass a "
-            "RunConfig instead (the 'policy' keyword maps to "
-            "RunConfig.steal)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        run = run.merged(**{_LEGACY_FIELDS[k]: v for k, v in loose.items()})
-    return run

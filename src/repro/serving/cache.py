@@ -110,6 +110,9 @@ class CacheStats:
     memory_hits: int = 0
     disk_hits: int = 0
     misses: int = 0
+    #: disk files present but unusable (torn, foreign, or stored under
+    #: another key); each is also counted as a miss.
+    corrupt: int = 0
     stores: int = 0
     evictions: int = 0
 
@@ -152,7 +155,9 @@ class ResultCache:
         """The stored summary for ``key``, or None (counted as a miss).
 
         Disk hits are promoted into the memory layer and refreshed on
-        disk (mtime is the disk layer's LRU clock).
+        disk (mtime is the disk layer's LRU clock). A disk file is served
+        only if it is a JSON object that stores a summary under ``key``;
+        anything else is a miss (see :meth:`_load`).
         """
         value = self._memory.get(key)
         if value is not None:
@@ -162,13 +167,7 @@ class ResultCache:
             return value
         path = self._path(key)
         if path is not None and path.exists():
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    document = json.load(fh)
-                value = document["summary"]
-            except (OSError, ValueError, KeyError):
-                # a torn or foreign file: treat as absent
-                value = None
+            value = self._load(path, key)
             if value is not None:
                 os.utime(path)
                 self._remember(key, value)
@@ -176,6 +175,27 @@ class ResultCache:
                 self.stats.disk_hits += 1
                 return value
         self.stats.misses += 1
+        return None
+
+    def _load(self, path: Path, key: str) -> Optional[Any]:
+        """The summary ``path`` stores for ``key``, or None.
+
+        A file that is present but unusable — torn, not a JSON object,
+        stored under another key, or without a summary — is counted in
+        ``stats.corrupt``.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                document = json.load(fh)
+        except OSError:
+            return None  # vanished or unreadable: a plain miss
+        except ValueError:
+            document = None
+        if isinstance(document, dict) and document.get("key") == key:
+            value = document.get("summary")
+            if value is not None:
+                return value
+        self.stats.corrupt += 1
         return None
 
     # -- storage -----------------------------------------------------------

@@ -117,16 +117,3 @@ def test_octree_workloads_exclude_input_generation(monkeypatch, name):
     monkeypatch.setattr(barneshut, "plummer_sphere", _bomb)
     monkeypatch.setattr(microbench, "octree_inputs", _bomb)
     fn()  # still runs: inputs were captured during prepare
-
-
-@pytest.mark.parametrize(
-    "name", ["event_core_drain", "event_core_drain_calendar"]
-)
-def test_event_core_workloads_exclude_input_generation(monkeypatch, name):
-    """The timeout streams are generated in prepare, never in the timing,
-    and every timed call replays the identical stream."""
-    import repro.experiments.microbench as microbench
-
-    fn = _BY_NAME[name].prepare()
-    monkeypatch.setattr(microbench, "event_core_inputs", _bomb)
-    assert fn() == fn() > 0  # still runs: streams were captured in prepare

@@ -40,7 +40,6 @@ def _mutations() -> dict:
     from repro.simgrid.trace import Trace
 
     return {
-        "scheduler": "heap",
         "coordinator": "batch",
         "profile": True,
         "jobs": 3,

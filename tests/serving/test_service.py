@@ -50,11 +50,11 @@ def test_cache_hit_returns_identical_bytes():
 def test_different_config_is_a_different_entry():
     cache = ResultCache()
     svc = _service(cache=cache)
-    a = SweepJob(SPEC, "none", 0, config=RunConfig(scheduler="array"))
-    b = SweepJob(SPEC, "none", 0, config=RunConfig(scheduler="heap"))
+    a = SweepJob(SPEC, "none", 0, config=RunConfig())
+    b = SweepJob(SPEC, "none", 0, config=RunConfig(coordinator="batch"))
     svc.sweep([a])
     [res] = svc.sweep([b])
-    assert not res.cache_hit  # schedulers agree on bytes, not on keys
+    assert not res.cache_hit  # decision paths agree on bytes, not on keys
 
 
 def test_disk_layer_survives_a_new_service(tmp_path):
@@ -90,7 +90,28 @@ def test_torn_disk_file_is_treated_as_absent(tmp_path):
     key = cache_key(SPEC, "none", 0)
     (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
     assert cache.get(key) is None
-    assert cache.stats.misses == 1
+    assert cache.stats.misses == 1 and cache.stats.corrupt == 1
+
+
+def test_non_object_disk_file_is_a_corrupt_miss(tmp_path):
+    cache = ResultCache(directory=str(tmp_path))
+    key = cache_key(SPEC, "none", 0)
+    (tmp_path / f"{key}.json").write_text("[1, 2]", encoding="utf-8")
+    assert cache.get(key) is None
+    assert cache.stats.misses == 1 and cache.stats.corrupt == 1
+    assert cache.stats.disk_hits == 0
+
+
+def test_disk_file_stored_under_another_key_is_not_served(tmp_path):
+    writer = ResultCache(directory=str(tmp_path))
+    key, other = cache_key(SPEC, "none", 0), cache_key(SPEC, "none", 1)
+    writer.put(other, {"seed": 1})
+    # a file swapped in under the wrong name: its stored key disagrees
+    (tmp_path / f"{other}.json").rename(tmp_path / f"{key}.json")
+    reader = ResultCache(directory=str(tmp_path))
+    assert reader.get(key) is None
+    assert reader.stats.misses == 1 and reader.stats.corrupt == 1
+    assert reader.stats.disk_hits == 0
 
 
 def test_failed_job_is_a_structured_result_not_an_exception():

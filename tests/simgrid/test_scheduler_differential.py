@@ -1,24 +1,24 @@
-"""Hypothesis differential testing of the three event schedulers.
+"""Hypothesis differential testing of the run loop against ``step()``.
 
-Random op programs — schedule / cancel / coalesced bursts / urgent
-same-instant inserts landing mid-chain / geometry-forcing floods — are
-replayed on ``scheduler="heap"`` (the executable spec),
-``"calendar"`` (the object-tuple calendar) and ``"array"`` (the
-typed-array core, the default). Every replay must produce the identical
-dispatch sequence: same callbacks, same firing times, same event count,
-same final clock. This is the bit-exactness contract the golden scenario
-summaries rest on, probed at the scheduler-operation level instead of
-through whole scenarios.
+Random op programs — schedule / cancel / same-deadline bursts / urgent
+same-instant inserts landing among same-deadline events / wide floods —
+are replayed three ways on one engine: through ``env.run()`` (the
+inlined hot loop), through ``env.run(until=t)`` in fixed-size chunks,
+and through ``while env.peek() < inf: env.step()`` (the single-step
+reference). Every replay must produce the identical dispatch sequence:
+same callbacks, same firing times, same event count. This is the
+contract the golden scenario summaries rest on, probed at the
+scheduler-operation level instead of through whole scenarios.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.simgrid.engine import Environment
 
-SCHEDULERS = ("heap", "calendar", "array")
+INF = float("inf")
 
-# Delays from a small grid plus awkward floats: exact ties (the coalesced
-# chain paths), sub-width jitter, and spreads that force rebuilds.
+# Delays from a small grid plus awkward floats: exact ties (same-deadline
+# events ordered by sequence number), jitter, and wide spreads.
 _delay = st.one_of(
     st.sampled_from([0.0, 0.0625, 0.1, 0.25, 0.5, 1.0, 3.7, 40.0]),
     st.floats(min_value=0.0, max_value=300.0, allow_nan=False, width=32),
@@ -29,22 +29,27 @@ _op = st.one_of(
     st.tuples(st.just("sleep"), _delay),
     # one recorded timeout
     st.tuples(st.just("timeout"), _delay),
-    # k same-deadline timeouts: a coalesced chain
+    # k same-deadline timeouts
     st.tuples(st.just("burst"), st.integers(2, 12), _delay),
     # cancel the j-th created timeout (may already have fired: a no-op)
     st.tuples(st.just("cancel"), st.integers(0, 200)),
     # spawn a process (urgent Initialize at the current instant)
     st.tuples(st.just("spawn"), _delay),
     # k same-deadline timeouts whose middle callback spawns a process:
-    # the urgent insert lands while that chain is draining (preemption)
+    # the urgent insert lands while that instant is dispatching
+    # (preemption)
     st.tuples(st.just("chain_spawn"), st.integers(3, 8), _delay),
-    # k timeouts spread over a span: forces grow/shrink rebuilds
+    # k timeouts spread over a span
     st.tuples(st.just("flood"), st.integers(30, 120), _delay),
 )
 
 
-def _replay(scheduler, ops):
-    env = Environment(scheduler=scheduler)
+#: ``run(until=t)`` chunk sizes; 0.25 lands chunk ends on event times
+_chunk = st.sampled_from([0.25, 1.0, 7.5])
+
+
+def _replay(ops, drive="run", chunk=1.0):
+    env = Environment()
     trace = []
     created = []
 
@@ -101,20 +106,29 @@ def _replay(scheduler, ops):
                     created.append(t)
 
     env.process(driver(env))
-    env.run()
-    return trace, env.event_count, env.now
+    if drive == "run":
+        env.run()
+    elif drive == "chunks":
+        until = 0.0
+        while env.peek() < INF:
+            until += chunk
+            env.run(until=until)
+    else:
+        while env.peek() < INF:
+            env.step()
+    assert env.stats()["queue_len"] == 0
+    return trace, env.event_count
 
 
 @settings(max_examples=30, deadline=None)
-@given(ops=st.lists(_op, min_size=1, max_size=25))
-def test_schedulers_dispatch_identically(ops):
-    reference = _replay("heap", ops)
-    for scheduler in ("calendar", "array"):
-        assert _replay(scheduler, ops) == reference
+@given(ops=st.lists(_op, min_size=1, max_size=25), chunk=_chunk)
+def test_run_loop_matches_step(ops, chunk):
+    reference = _replay(ops, "step")
+    assert _replay(ops, "run") == reference
+    assert _replay(ops, "chunks", chunk) == reference
 
 
 @settings(max_examples=15, deadline=None)
 @given(ops=st.lists(_op, min_size=1, max_size=25))
-def test_replay_is_deterministic_per_scheduler(ops):
-    for scheduler in SCHEDULERS:
-        assert _replay(scheduler, ops) == _replay(scheduler, ops)
+def test_replay_is_deterministic(ops):
+    assert _replay(ops) == _replay(ops)

@@ -1,56 +1,40 @@
-"""RunConfig: validation, merging, and the deprecation shims.
+"""RunConfig: validation, and how the entry points accept it.
 
-The redesigned surface accepts exactly one configuration object;
-everything the old loose keywords did must still work for one release,
-but loudly (DeprecationWarning), and mixing old and new styles is an
-error rather than a silent precedence rule.
+The surface accepts exactly one configuration object: ``Harness.build``
+and ``run_scenario`` take ``config=RunConfig(...)`` and nothing else.
 """
 
 import warnings
 
 import pytest
 
-from repro.config import COORDINATOR_MODES, SCHEDULERS, RunConfig
+from repro.config import COORDINATOR_MODES, RunConfig
 from repro.experiments import run_scenario
 from repro.experiments.scenarios import scaled_das2, ScenarioSpec
 from repro.apps.dctree import SyntheticIterativeApp, balanced_tree
 from repro.harness import Harness, build_grid
 from repro.obs import Observability
-from repro.satin.stealing import RandomStealing
 from repro.satin.worker import WorkerConfig
 
 
 # -- validation -------------------------------------------------------------
-def test_defaults_are_streaming_array():
+def test_defaults_are_streaming():
     cfg = RunConfig()
     assert cfg.coordinator == "streaming"
-    assert cfg.scheduler == "array"
     assert cfg.jobs == 1
     assert cfg.sinks == ()
 
 
-def test_bad_scheduler_error_lists_valid_options():
-    # The ValueError must name every valid scheduler so a typo'd config
-    # is self-diagnosing (same contract as Environment, below).
-    with pytest.raises(ValueError) as exc:
-        RunConfig(scheduler="fifo")
-    for name in SCHEDULERS:
-        assert name in str(exc.value)
-
-
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_valid_schedulers(scheduler):
-    assert RunConfig(scheduler=scheduler).scheduler == scheduler
+def test_event_scheduler_is_not_an_option():
+    # the engine has one scheduler (the binary heap); there is nothing
+    # to choose
+    with pytest.raises(TypeError):
+        RunConfig(**{"scheduler": "heap"})
 
 
 @pytest.mark.parametrize("coordinator", COORDINATOR_MODES)
 def test_valid_coordinator_modes(coordinator):
     assert RunConfig(coordinator=coordinator).coordinator == coordinator
-
-
-def test_bad_scheduler_rejected():
-    with pytest.raises(ValueError, match="scheduler"):
-        RunConfig(scheduler="fifo")
 
 
 def test_bad_coordinator_rejected():
@@ -66,7 +50,7 @@ def test_negative_detection_delay_rejected():
 def test_frozen():
     cfg = RunConfig()
     with pytest.raises(AttributeError):
-        cfg.scheduler = "heap"
+        cfg.coordinator = "batch"
 
 
 def test_sinks_normalized_to_tuple():
@@ -74,51 +58,30 @@ def test_sinks_normalized_to_tuple():
     assert cfg.sinks == ()
 
 
-def test_merged_applies_only_non_none():
-    base = RunConfig(scheduler="heap", jobs=4)
-    out = base.merged(scheduler=None, coordinator="batch")
-    assert out.scheduler == "heap"
-    assert out.jobs == 4
-    assert out.coordinator == "batch"
-
-
-# -- Harness.build shims ----------------------------------------------------
+# -- Harness.build ----------------------------------------------------------
 def test_build_accepts_runconfig_silently():
+    wc = WorkerConfig(monitoring_period=42.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h = Harness.build(build_grid((2,)), config=RunConfig(scheduler="heap"))
-    assert h.run_config.scheduler == "heap"
-
-
-def test_build_workerconfig_as_config_warns_and_folds():
-    wc = WorkerConfig(monitoring_period=42.0)
-    with pytest.warns(DeprecationWarning, match="WorkerConfig"):
-        h = Harness.build(build_grid((2,)), config=wc)
-    assert h.run_config.worker is wc
-    assert h.runtime.config is wc
-
-
-def test_build_loose_keywords_warn_and_fold():
-    steal = RandomStealing()
-    with pytest.warns(DeprecationWarning, match="loose"):
         h = Harness.build(
-            build_grid((2,)), policy=steal, detection_delay=0.25
+            build_grid((2,)),
+            config=RunConfig(worker=wc, detection_delay=0.25),
         )
-    assert h.run_config.steal is steal
-    assert h.run_config.detection_delay == 0.25
+    assert h.runtime.config is wc
     assert h.registry.detection_delay == 0.25
-
-
-def test_build_runconfig_plus_loose_is_error():
-    with pytest.raises(TypeError, match="inside RunConfig"):
-        Harness.build(
-            build_grid((2,)), config=RunConfig(), detection_delay=0.5
-        )
 
 
 def test_build_rejects_wrong_config_type():
     with pytest.raises(TypeError, match="RunConfig"):
         Harness.build(build_grid((2,)), config=object())
+    # a bare WorkerConfig is not a RunConfig either
+    with pytest.raises(TypeError, match="RunConfig"):
+        Harness.build(build_grid((2,)), config=WorkerConfig())
+
+
+def test_build_takes_no_loose_keywords():
+    with pytest.raises(TypeError):
+        Harness.build(build_grid((2,)), **{"detection_delay": 0.25})
 
 
 def test_build_profile_flag_enables_profiling_obs():
@@ -134,13 +97,13 @@ def test_build_obs_wins_over_profile_flag():
     assert h.obs is obs
 
 
-# -- run_scenario shim ------------------------------------------------------
+# -- run_scenario -----------------------------------------------------------
 def _tiny_spec() -> ScenarioSpec:
     grid = scaled_das2(nodes_per_cluster=2, clusters=2)
     return ScenarioSpec(
         id="cfg",
         paper_ref="test",
-        description="runconfig shim scenario",
+        description="runconfig scenario",
         grid=grid,
         initial_layout=(("vu", 2),),
         app_factory=lambda: SyntheticIterativeApp(
@@ -150,20 +113,6 @@ def _tiny_spec() -> ScenarioSpec:
         monitoring_period=30.0,
         max_sim_time=600.0,
     )
-
-
-def test_run_scenario_loose_obs_warns():
-    obs = Observability.enabled()
-    with pytest.warns(DeprecationWarning, match="RunConfig"):
-        run_scenario(_tiny_spec(), "none", seed=0, obs=obs)
-
-
-def test_run_scenario_config_plus_loose_is_error():
-    with pytest.raises(TypeError, match="RunConfig"):
-        run_scenario(
-            _tiny_spec(), "none", seed=0,
-            config=RunConfig(), scheduler="heap",
-        )
 
 
 def test_run_scenario_config_threads_through():
