@@ -306,9 +306,11 @@ class Worker:
         # _current stays set if an Interrupt lands mid-execution, so the
         # departure handler can recover the in-progress frame.
         #
-        # The compute burst is inlined (rather than delegated to
-        # :meth:`_compute`) because a generator per task on the execution
-        # hot path is measurable; the semantics are identical.
+        # The compute burst (sample the host's effective speed once, then
+        # one pooled sleep charged as "work" or "recovery") is written out
+        # in both branches below rather than delegated to a helper
+        # generator: a generator per task on the execution hot path is
+        # measurable.
         self._current = frame
         env = self.env
         spans = self._spans
@@ -391,32 +393,6 @@ class Worker:
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"cannot execute frame in state {frame.state}")
         self._current = None
-
-    def _compute(
-        self, work: float, category: str = "work"
-    ) -> Generator[Event, Any, None]:
-        """Burn ``work`` units of CPU at the host's current effective speed.
-
-        The speed is sampled at the start of the burst; a load change that
-        lands mid-burst takes effect from the next task. Task granularities
-        in the experiments are small relative to the scenario event spacing,
-        so the approximation is invisible in the measurements.
-
-        ``category`` is the attribution ledger's refinement of "busy":
-        "work" for first executions, "recovery" for crash re-execution.
-        """
-        if work <= 0:
-            return
-        duration = work / self.host.effective_speed
-        t0 = self.env.now
-        self._ledger.enter(category, t0)
-        try:
-            # Timeout lane: pooled, yielded immediately, never retained.
-            # This is the single hottest wait in the whole simulation.
-            yield self.env.sleep(duration)
-        finally:
-            self._ledger.exit(self.env.now)
-        self.account.add_busy(self.env.now - t0)
 
     def _complete(self, frame: Frame) -> Generator[Event, Any, None]:
         frame.state = FrameState.DONE

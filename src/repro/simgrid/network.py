@@ -179,18 +179,33 @@ class Network:
             return env.now - t0
 
         up, down = self._uplinks[ca], self._uplinks[cb]
+        outbound, inbound = up.outbound, down.inbound
+        # With both units free and nothing else due this instant, the two
+        # grants would be the next two dispatches: take the units directly.
+        inline = (
+            outbound.in_use < outbound.capacity
+            and inbound.in_use < inbound.capacity
+            and env.owns_instant()
+        )
+        if inline:
+            outbound.acquire()
+            inbound.acquire()
         req_out = req_in = None
         try:
-            req_out = up.outbound.request()
-            yield req_out
-            req_in = down.inbound.request()
-            yield req_in
+            if not inline:
+                req_out = outbound.request()
+                yield req_out
+                req_in = inbound.request()
+                yield req_in
             # Bandwidth is evaluated at serialisation start: a throttle that
             # lands mid-transfer affects the *next* transfer, which is a
             # fine approximation at our message sizes.
             path_bw = min(up.bandwidth, self.grid.backbone_bandwidth, down.bandwidth)
             yield env.sleep(nbytes / path_bw)
         finally:
+            if inline:
+                inbound.release_unit()
+                outbound.release_unit()
             if req_in is not None:
                 req_in.cancel()
             if req_out is not None:

@@ -9,7 +9,9 @@ Three primitives cover all the substrate's needs:
   priority order (used by schedulers).
 * :class:`Resource` — a counting semaphore with FIFO waiters (used to model
   serialised network uplinks, where a transfer occupies the link for its
-  duration and later transfers queue behind it).
+  duration and later transfers queue behind it). A caller that owns the
+  instant may take a free unit with :meth:`Resource.acquire` instead of
+  yielding a request.
 
 Cancellation
 ------------
@@ -262,6 +264,25 @@ class Resource:
         if not request._holding:
             raise SimulationError("release() of a request that holds no capacity")
         request._holding = False
+        self.release_unit()
+
+    def acquire(self) -> None:
+        """Take a free unit directly, with no request event.
+
+        For a caller that owns the instant
+        (:meth:`~repro.simgrid.engine.Environment.owns_instant`): the
+        grant a :meth:`request` would schedule is then the next dispatch,
+        so taking the unit now is the same grant one hop earlier. Return
+        it with :meth:`release_unit`.
+        """
+        if self._in_use >= self.capacity:
+            raise SimulationError("acquire() with no free capacity")
+        self._in_use += 1
+        self.env._inlined += 1
+
+    def release_unit(self) -> None:
+        """Return a unit taken by :meth:`acquire` (or one a request held),
+        handing it to the oldest live waiter if any."""
         nxt = self._pop_live_waiter()
         if nxt is not None:
             nxt._holding = True

@@ -9,7 +9,7 @@ engine internals.
 """
 
 from repro.obs import Observability
-from repro.simgrid.engine import Environment
+from repro.simgrid.engine import AnyOf, Environment
 
 
 def _gauge(obs, name):
@@ -54,3 +54,23 @@ def test_tombstone_leak_is_observable():
     assert _gauge(obs, "engine_queue_len") == 51.0
     assert _gauge(obs, "engine_live") == 1.0
     assert _gauge(obs, "engine_cancelled_tombstones") == 50.0
+
+
+def test_inlined_hops_are_counted_apart_from_dispatches():
+    """Hops run inline (Environment.owns_instant) do not count as
+    dispatched events; ``inlined`` counts them, and the two add up to
+    the dispatches of the heap-only schedule."""
+    env = Environment()
+    obs = Observability.enabled()
+
+    def idler(env):
+        # The AnyOf's dispatch and the process's completion are each the
+        # next event when they happen: both run inline.
+        yield AnyOf(env, [env.timeout(1.0), env.timeout(2.0)])
+
+    env.process(idler(env))
+    env.run()
+    obs.capture_engine(env)
+    # Initialize, then the 1.0 and 2.0 timeouts.
+    assert _gauge(obs, "engine_events_processed") == 3.0
+    assert _gauge(obs, "engine_inlined") == 2.0

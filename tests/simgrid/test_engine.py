@@ -370,20 +370,89 @@ def test_mixed_environment_event_rejected():
         env1.run()
 
 
-def test_peek_and_step():
+def test_peek_and_step_waited_completion_is_its_own_step():
+    """A completion with a waiter is still dispatched by its own step."""
     env = Environment()
 
     def proc(env):
         yield env.timeout(2.0)
+        return "v"
 
-    env.process(proc(env))
-    assert env.peek() == 0.0  # the initialize event
+    def waiter(env, p):
+        return (yield p)
+
+    p = env.process(proc(env))
+    w = env.process(waiter(env, p))
+    assert env.peek() == 0.0  # the two initialize events
+    env.step()
     env.step()
     assert env.peek() == 2.0
     env.step()  # timeout fires, process finishes -> completion event at 2.0
     assert env.now == 2.0
-    env.step()  # process completion event
+    assert p.triggered and not p.processed
+    assert env.peek() == 2.0
+    env.step()  # the completion resumes the waiter
+    assert p.processed and w.value == "v"
     assert env.peek() == float("inf")
+
+
+def test_peek_and_step():
+    """A completion nobody waits on takes no step of its own."""
+    env = Environment()
+
+    def proc(env):
+        yield env.timeout(2.0)
+        return "v"
+
+    p = env.process(proc(env))
+    assert env.peek() == 0.0  # the initialize event
+    env.step()
+    assert env.peek() == 2.0
+    # The timeout fires and the process finishes with nothing else due:
+    # its completion is processed in the same step, not queued.
+    env.step()
+    assert env.now == 2.0
+    assert p.processed and p.value == "v"
+    assert env.peek() == float("inf")
+    assert env.event_count == 2
+
+
+@pytest.mark.parametrize("drive", ["run", "step"])
+def test_tombstone_at_the_instant_does_not_block_inlining(drive):
+    """A cancelled timeout due in the same instant is not a live event:
+    the completion behind it is still inlined, whichever loop runs."""
+    env = Environment()
+
+    def proc(env):
+        yield env.timeout(1.0)
+        return "v"
+
+    p = env.process(proc(env))
+    env.step()  # p arms its timeout at 1.0
+    env.timeout(1.0).cancel()  # queued behind p's timeout
+    if drive == "run":
+        env.run()
+    else:
+        while env.peek() < float("inf"):
+            env.step()
+    assert p.processed and p.value == "v"
+    assert env.stats()["inlined"] == 1
+    assert env.event_count == 2
+
+
+def test_condition_resumes_every_waiting_process():
+    env = Environment()
+    cond = AnyOf(env, [env.timeout(1.0)])
+    got = []
+
+    def waiter(env, tag):
+        yield cond
+        got.append((tag, env.now))
+
+    env.process(waiter(env, "a"))
+    env.process(waiter(env, "b"))
+    env.run()
+    assert got == [("a", 1.0), ("b", 1.0)]
 
 
 def test_process_requires_generator():

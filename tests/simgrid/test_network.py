@@ -114,6 +114,31 @@ def test_uplink_contention_serialises_same_direction():
     assert finish["t2"] == pytest.approx(2.01)
 
 
+def test_free_uplinks_are_taken_without_grant_events():
+    """A transfer that owns the instant takes both free uplink units
+    directly; one that arrives while the link is busy queues as before.
+    Both release their units when done."""
+    env = Environment()
+    net = Network(env, two_cluster_grid())
+    finish = {}
+
+    def proc(env, tag, delay):
+        yield env.timeout(delay)
+        yield from net.transfer("a/n0", "b/n0", nbytes=1e5)  # 1 s serialisation
+        finish[tag] = env.now
+
+    env.process(proc(env, "first", 0.5))
+    env.process(proc(env, "queued", 1.0))
+    env.run()
+    assert finish["first"] == pytest.approx(1.51)
+    assert finish["queued"] == pytest.approx(2.51)
+    # Only the first transfer's two grants were inlined (plus the two
+    # waiter-less completions); the queued one was granted by the heap.
+    assert env.stats()["inlined"] == 4
+    up = net._uplinks
+    assert up["a"].outbound.in_use == 0 and up["b"].inbound.in_use == 0
+
+
 def test_opposite_directions_do_not_contend():
     env = Environment()
     net = Network(env, two_cluster_grid())

@@ -278,6 +278,32 @@ def test_release_unheld_rejected():
         res.release(r2)
 
 
+def test_acquire_takes_a_unit_without_an_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    res.acquire()
+    assert res.in_use == 1
+    assert env.peek() == float("inf")  # nothing scheduled
+    with pytest.raises(SimulationError):
+        res.acquire()
+    res.release_unit()
+    assert res.in_use == 0
+
+
+def test_release_unit_hands_over_to_the_oldest_waiter():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    res.acquire()
+    r1, r2 = res.request(), res.request()
+    r1.cancel()
+    res.release_unit()
+    assert r2.triggered and not r1.triggered
+    assert res.in_use == 1
+    env.run()
+    res.release(r2)
+    assert res.in_use == 0
+
+
 def test_capacity_validation():
     env = Environment()
     with pytest.raises(SimulationError):
